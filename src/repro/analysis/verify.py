@@ -13,7 +13,7 @@ Invariants of the statistical 5-tuple ``(Π, Q, B, P_S, P_R)``:
   within :data:`Q_TOLERANCE`;
 * every histogram bin count is a nonnegative number;
 * every PC in a π-profile sequence references a static instruction in
-  ``B``;
+  ``B``, or is the barrier marker ``SYNC_PC``;
 * base addresses are aligned to the instruction's access granularity;
 * miniaturized profiles (``scale_factor > 1``) keep their reuse-distance
   support inside the truncated sequence, and coalescing degrees stay
@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.findings import Finding, format_findings
+from repro.gpu.instructions import SYNC_PC
 
 PathLike = Union[str, Path]
 
@@ -141,6 +142,8 @@ def verify_profile_payload(data: Mapping[str, Any], origin: str) -> List[Finding
             )
         sequence = pi.get("sequence", [])
         for pc in sequence:
+            if pc == SYNC_PC:
+                continue  # barrier marker: replayed as-is, never in B
             if str(pc) not in known_pcs:
                 pc_repr = f"{pc:#x}" if isinstance(pc, int) else repr(pc)
                 findings.append(

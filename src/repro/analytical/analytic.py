@@ -10,8 +10,8 @@ per configuration.  Two model sources share the predictor:
   a per-set stack position is precisely the number of distinct intervening
   same-set lines, so the simulator's true-LRU hit criterion becomes
   ``position < assoc`` and every associativity at that geometry is a pure
-  histogram walk.  L1 is exact (modulo a deep-stack truncation bound); the
-  shared L2 sees the union of the cores' L1 *miss* streams, modelled by
+  histogram walk.  L1 is exact at every associativity; the shared L2
+  sees the union of the cores' L1 *miss* streams, modelled by
   conditioning the merged full-stream histogram on the predicted L1 filter:
   cold lines pass through unconditionally (a first touch misses every
   level), reuse accesses reach the L2 with the L1 reuse-miss rate, and
@@ -36,18 +36,26 @@ span, which for flat replay is exactly the longest core trace.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analytical.profile_model import (
     DEFAULT_LINE_SIZES,
     StackDistanceProfile,
     _conflict_probability,
+    round_robin_interleave,
 )
 from repro.core.profile import GmapProfile
+from repro.core.reuse import COLD_MISS, stack_distances, stack_distances_array
 from repro.gpu.instructions import AccessTuple
 from repro.gpu.memspace import MemorySpace, space_of
 from repro.memsim.config import CacheConfig, SimConfig
 from repro.memsim.stats import CacheStats, DramStats, SimResult
+
+try:  # The engine path; the scalar per-set trackers need no deps.
+    import numpy as _np
+except ImportError:  # pragma: no cover - depends on the environment
+    _np = None  # type: ignore[assignment]
 
 #: Artifact format tag and schema version of analytic sweep reports.
 ANALYTIC_FORMAT = "gmap-analytic-sweep"
@@ -56,13 +64,6 @@ ANALYTIC_SCHEMA_VERSION = 1
 #: Stated per-point |Δ miss-rate| envelope vs the event simulator for
 #: analytically-predicted points (the bench_perf.py schema-v5 gate bound).
 ANALYTIC_MISS_RATE_TOLERANCE = 0.12
-
-#: Per-set LRU stacks are tracked to this depth; deeper reuses collapse
-#: into one ≥-depth bucket (they miss at any tracked associativity).
-TRACKED_SET_DEPTH = 4096
-
-#: Histogram bucket for set distances beyond :data:`TRACKED_SET_DEPTH`.
-_BEYOND_DEPTH = 1 << 30
 
 
 class AnalyticUnsupportedError(ValueError):
@@ -107,11 +108,6 @@ def analytic_fallback_reasons(config: SimConfig) -> List[str]:
                 f"{cache.write_policy}/allocate={cache.write_allocate} "
                 f"bypasses the LRU stack"
             )
-        if cache.assoc > TRACKED_SET_DEPTH:
-            reasons.append(
-                f"{level} associativity {cache.assoc} exceeds the tracked "
-                f"stack depth {TRACKED_SET_DEPTH}"
-            )
     if config.l2_inclusion != "non-inclusive":
         reasons.append(
             f"{config.l2_inclusion} L2 back-invalidates L1 lines outside "
@@ -143,102 +139,46 @@ def _expand_lines(
     return out, stored
 
 
-class _SetDistanceScan:
-    """Exact per-set LRU stack distances of one line stream.
+class _SetReuse:
+    """Exact per-set LRU reuse statistics of one line stream.
 
-    One pass of per-set true-LRU stacks (the simulator's own structure,
-    minus the fill side effects): a reuse at stack position ``p`` had
-    exactly ``p`` distinct same-set lines touched since its last access,
-    so it hits any cache of this geometry iff ``p < assoc``.  Stacks are
-    truncated at :data:`TRACKED_SET_DEPTH`; deeper reuses land in the
-    :data:`_BEYOND_DEPTH` bucket (a miss at any tracked associativity).
+    A per-set stack distance is the number of distinct same-set lines
+    touched since the line's last access, so a reuse at distance ``d``
+    hits any cache of this geometry iff ``d < assoc``.
 
     Besides the distance histogram the scan keeps the sufficient
     statistics for associativity-parameterised *state* questions: the
     histogram restricted to ever-stored lines (a reuse miss of a stored
-    line implies one earlier dirty eviction — a writeback), the final
-    per-set stacks as prefix counts (how many lines, and how many stored
-    lines, survive in the top ``assoc`` of each set at end of stream).
+    line implies one earlier dirty eviction — a writeback), and the
+    end-of-stream LRU rank of every line within its set, for all lines
+    and for stored lines (a line is still resident under ``assoc`` ways
+    iff its rank is below ``assoc``).
     """
 
     __slots__ = (
-        "histogram", "stored_histogram", "colds", "accesses",
-        "stored_lines", "set_prefixes",
+        "accesses", "colds", "histogram", "stored_histogram",
+        "ranks", "stored_ranks",
     )
 
-    def __init__(self, lines: Sequence[int], num_sets: int, stored: set) -> None:
-        mask = num_sets - 1
-        use_mask = num_sets & (num_sets - 1) == 0
-        histogram: Dict[int, int] = {}
-        stored_histogram: Dict[int, int] = {}
-        stacks: Dict[int, List[int]] = {}
-        members: Dict[int, set] = {}
-        seen: set = set()
-        colds = 0
-        for line in lines:
-            index = (line & mask) if use_mask else (line % num_sets)
-            stack = stacks.get(index)
-            if stack is None:
-                stack = stacks[index] = []
-                member = members[index] = set()
-            else:
-                member = members[index]
-            if line in member:
-                position = stack.index(line)
-                del stack[position]
-                stack.insert(0, line)
-            else:
-                if line not in seen:
-                    seen.add(line)
-                    colds += 1
-                    member.add(line)
-                    stack.insert(0, line)
-                    if len(stack) > TRACKED_SET_DEPTH:
-                        member.discard(stack.pop())
-                    continue
-                # Fell off the truncated stack: distance >= depth.
-                position = _BEYOND_DEPTH
-                member.add(line)
-                stack.insert(0, line)
-                if len(stack) > TRACKED_SET_DEPTH:
-                    member.discard(stack.pop())
-            histogram[position] = histogram.get(position, 0) + 1
-            if line in stored:
-                stored_histogram[position] = (
-                    stored_histogram.get(position, 0) + 1
-                )
+    def __init__(
+        self,
+        accesses: int,
+        histogram: Dict[int, int],
+        stored_histogram: Dict[int, int],
+        ranks: Dict[int, int],
+        stored_ranks: Dict[int, int],
+    ) -> None:
+        self.accesses = accesses
         self.histogram = histogram
         self.stored_histogram = stored_histogram
-        self.colds = colds
-        self.accesses = len(lines)
-        self.stored_lines = len(stored & seen)
-        # Per non-empty set: (total, stored) cumulative counts down the
-        # final stack, MRU first — prefix[a] answers "resident under
-        # associativity a" in O(1) per set.
-        self.set_prefixes: List[Tuple[List[int], List[int]]] = []
-        for stack in stacks.values():
-            totals = [0]
-            stored_counts = [0]
-            for line in stack:
-                totals.append(totals[-1] + 1)
-                stored_counts.append(
-                    stored_counts[-1] + (1 if line in stored else 0)
-                )
-            self.set_prefixes.append((totals, stored_counts))
+        self.ranks = ranks
+        self.stored_ranks = stored_ranks
+        # Every distinct line has one final rank and one cold touch.
+        self.colds = sum(ranks.values())
 
     def misses(self, assoc: int) -> int:
         """Total misses (cold + conflict/capacity) at ``assoc`` ways."""
-        return self.colds + _misses_at(self.histogram, assoc)
-
-    def resident(self, assoc: int) -> Tuple[int, int]:
-        """``(lines, stored lines)`` resident at end of stream."""
-        total = 0
-        stored = 0
-        for totals, stored_counts in self.set_prefixes:
-            index = min(assoc, len(totals) - 1)
-            total += totals[index]
-            stored += stored_counts[index]
-        return total, stored
+        return self.colds + _at_least(self.histogram, assoc)
 
     def writebacks(self, assoc: int) -> int:
         """Dirty L1 victims at ``assoc`` ways (ever-stored approximation).
@@ -248,19 +188,88 @@ class _SetDistanceScan:
         longer resident at end of stream were dirty-evicted once more and
         never came back.
         """
-        _, resident_stored = self.resident(assoc)
-        refetched = _misses_at(self.stored_histogram, assoc)
-        return max(0, refetched + self.stored_lines - resident_stored)
+        return (
+            _at_least(self.stored_histogram, assoc)
+            + _at_least(self.stored_ranks, assoc)
+        )
 
     def evictions(self, assoc: int) -> int:
         """Total evictions at ``assoc`` ways: fills minus final residents."""
-        resident, _ = self.resident(assoc)
-        return max(0, self.misses(assoc) - resident)
+        return _at_least(self.histogram, assoc) + _at_least(self.ranks, assoc)
 
 
-def _misses_at(histogram: Dict[int, int], assoc: int) -> int:
-    """Reuse misses of one scanned stream at associativity ``assoc``."""
-    return sum(count for dist, count in histogram.items() if dist >= assoc)
+def _at_least(histogram: Dict[int, int], bound: int) -> int:
+    """Mass of ``histogram`` at values ``>= bound``."""
+    return sum(count for value, count in histogram.items() if value >= bound)
+
+
+def _scan_sets(lines: Sequence[int], num_sets: int, stored: set) -> _SetReuse:
+    """Per-set reuse of ``lines`` at ``num_sets`` sets, exact at any depth.
+
+    A per-set distance is the global stack distance of the line within
+    its set's subsequence, so the stream is stable-sorted by set index
+    and run through the shared engine once.  The final ranks come from
+    the same sorted stream: a line's last touch is its first in the
+    reversed stream, last touches ascend within a set block, and a
+    line's rank is the number of later last touches in its block.
+    """
+    if _np is None:
+        return _scan_sets_scalar(lines, num_sets, stored)
+    stream = _np.asarray(lines, dtype=_np.int64)
+    sets = stream % num_sets
+    order = _np.argsort(sets, kind="stable")
+    stream, sets = stream[order], sets[order]
+    distances = stack_distances_array(stream)
+    is_stored = _np.isin(stream, _np.fromiter(stored, _np.int64, len(stored)))
+    warm = distances != COLD_MISS
+    _, first = _np.unique(stream[::-1], return_index=True)
+    last = _np.sort(len(stream) - 1 - first)
+    owner = sets[last]
+    ranks = (
+        _np.searchsorted(owner, owner, side="right")
+        - _np.arange(len(last)) - 1
+    )
+    return _SetReuse(
+        len(lines),
+        _array_counts(distances[warm]),
+        _array_counts(distances[warm & is_stored]),
+        _array_counts(ranks),
+        _array_counts(ranks[is_stored[last]]),
+    )
+
+
+def _array_counts(values: "_np.ndarray") -> Dict[int, int]:
+    """``{value: occurrences}`` of an integer array."""
+    found, counts = _np.unique(values, return_counts=True)
+    return dict(zip(found.tolist(), counts.tolist()))
+
+
+def _scan_sets_scalar(
+    lines: Sequence[int], num_sets: int, stored: set
+) -> _SetReuse:
+    """:func:`_scan_sets` without NumPy: one scalar tracker per set."""
+    by_set: Dict[int, List[int]] = {}
+    for line in lines:
+        by_set.setdefault(line % num_sets, []).append(line)
+    histogram: Counter = Counter()
+    stored_histogram: Counter = Counter()
+    ranks: Counter = Counter()
+    stored_ranks: Counter = Counter()
+    for members in by_set.values():
+        for line, distance in zip(members, stack_distances(members)):
+            if distance != COLD_MISS:
+                histogram[distance] += 1
+                if line in stored:
+                    stored_histogram[distance] += 1
+        # Distinct lines, most recently touched first: the final stack.
+        for rank, line in enumerate(dict.fromkeys(reversed(members))):
+            ranks[rank] += 1
+            if line in stored:
+                stored_ranks[rank] += 1
+    return _SetReuse(
+        len(lines), dict(histogram), dict(stored_histogram),
+        dict(ranks), dict(stored_ranks),
+    )
 
 
 class AnalyticCacheModel:
@@ -302,8 +311,8 @@ class AnalyticCacheModel:
         # Lazy memos: expansions per line size, scans per geometry.
         self._core_lines: Dict[int, List[Tuple[List[int], set]]] = {}
         self._merged_lines: Dict[int, List[int]] = {}
-        self._l1_memo: Dict[Tuple[int, int], List[_SetDistanceScan]] = {}
-        self._l2_memo: Dict[Tuple[int, int, int], _SetDistanceScan] = {}
+        self._l1_memo: Dict[Tuple[int, int], List[_SetReuse]] = {}
+        self._l2_memo: Dict[Tuple[int, int, int], _SetReuse] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -342,7 +351,7 @@ class AnalyticCacheModel:
             cacheable.append(records)
         return cls(
             core_records=cacheable,
-            merged_records=_round_robin_records(cacheable),
+            merged_records=round_robin_interleave(cacheable),
             shared_accesses=shared,
             special_accesses=special,
             requests=requests,
@@ -441,14 +450,14 @@ class AnalyticCacheModel:
 
     def _l1_scans(
         self, line_size: int, num_sets: int
-    ) -> List[_SetDistanceScan]:
+    ) -> List[_SetReuse]:
         """Per-core exact set-distance scans, memoized per geometry."""
         key = (line_size, num_sets)
         scans = self._l1_memo.get(key)
         if scans is None:
             per_core, _ = self._lines(line_size)
             scans = [
-                _SetDistanceScan(lines, num_sets, stored)
+                _scan_sets(lines, num_sets, stored)
                 for lines, stored in per_core
             ]
             self._l1_memo[key] = scans
@@ -456,7 +465,7 @@ class AnalyticCacheModel:
 
     def _l2_scan(
         self, l1_line: int, l2_line: int, num_sets: int
-    ) -> _SetDistanceScan:
+    ) -> _SetReuse:
         """Merged L2-demand-stream scan, memoized per geometry.
 
         The L2 sees one access per *L1 sector* that misses, addressed at
@@ -473,7 +482,7 @@ class AnalyticCacheModel:
             shift = l2_line.bit_length() - stream_line.bit_length()
             if shift:
                 merged = [line >> shift for line in merged]
-            scan = _SetDistanceScan(merged, num_sets, set())
+            scan = _scan_sets(merged, num_sets, set())
             self._l2_memo[key] = scan
         return scan
 
@@ -731,28 +740,6 @@ def _histogram_miss_probability(
     if num_sets > 1 and distance >= assoc:
         return _conflict_probability(distance, num_sets, assoc)
     return 0.0
-
-
-def _round_robin_records(
-    per_core: Sequence[Sequence[AccessTuple]],
-) -> List[AccessTuple]:
-    """Merge per-core record streams one access per core per turn.
-
-    The analytic twin of the flat replay's unit-latency ``(clock, core)``
-    event-heap merge: with every record costing one cycle, the heap
-    degenerates to exactly this round-robin order.
-    """
-    out: List[AccessTuple] = []
-    cursors = [0] * len(per_core)
-    remaining = sum(len(t) for t in per_core)
-    while remaining:
-        for idx, trace in enumerate(per_core):
-            cursor = cursors[idx]
-            if cursor < len(trace):
-                out.append(trace[cursor])
-                cursors[idx] = cursor + 1
-                remaining -= 1
-    return out
 
 
 def required_line_sizes(configs: Iterable[SimConfig]) -> Tuple[int, ...]:

@@ -19,11 +19,13 @@ silently disabling the correction exactly where deep histograms need it.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, TypeVar
 
 from repro.core.distributions import Histogram
-from repro.core.reuse import COLD_MISS, StackDistanceTracker
+from repro.core.reuse import distance_histogram
 from repro.memsim.config import CacheConfig
+
+_T = TypeVar("_T")
 
 #: Line sizes the profiles are collected at (the paper's L1 sweep range).
 DEFAULT_LINE_SIZES: Tuple[int, ...] = (32, 64, 128)
@@ -32,14 +34,10 @@ DEFAULT_LINE_SIZES: Tuple[int, ...] = (32, 64, 128)
 class StackDistanceProfile:
     """Per-line-size stack-distance histograms of one access stream.
 
-    Two collection paths share the type: :meth:`extend` scans plain
-    addresses (one access per granularity per element — the Tang/Nugteren
-    baselines), while :meth:`extend_records` scans ``(pc, address, size,
-    is_store)`` trace records with the memory hierarchy's sector split, so
-    an access wider than a line contributes one access per line-sized
-    sector, exactly as :meth:`repro.memsim.hierarchy.MemoryHierarchy.access`
-    issues them.  Sector expansion makes per-granularity access counts
-    differ, so counts are tracked per line size.
+    Built once from plain addresses (:meth:`from_addresses`, one access
+    per granularity per element — the Tang/Nugteren baselines) through
+    the shared engine, or filled directly by the analytic ``from_profile``
+    estimator.  Counts are tracked per line size.
     """
 
     def __init__(self, line_sizes: Sequence[int] = DEFAULT_LINE_SIZES) -> None:
@@ -53,9 +51,6 @@ class StackDistanceProfile:
         self._colds: Dict[int, int] = {size: 0 for size in line_sizes}
         self._counts: Dict[int, int] = {size: 0 for size in line_sizes}
         self._records = 0
-        self._trackers: Dict[int, StackDistanceTracker] = {
-            size: StackDistanceTracker() for size in line_sizes
-        }
 
     @classmethod
     def from_addresses(
@@ -63,62 +58,19 @@ class StackDistanceProfile:
         addresses: Iterable[int],
         line_sizes: Sequence[int] = DEFAULT_LINE_SIZES,
     ) -> "StackDistanceProfile":
-        profile = cls(line_sizes)
-        profile.extend(addresses)
-        return profile
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Iterable[Tuple[int, int, int, int]],
-        line_sizes: Sequence[int] = DEFAULT_LINE_SIZES,
-    ) -> "StackDistanceProfile":
-        profile = cls(line_sizes)
-        profile.extend_records(records)
-        return profile
-
-    def extend(self, addresses: Iterable[int]) -> None:
-        """Scan addresses once, updating every granularity's histogram."""
+        """Scan ``addresses`` once per granularity."""
         addresses = list(addresses)
-        self._records += len(addresses)
-        for size in self.line_sizes:
+        profile = cls(line_sizes)
+        profile._records = len(addresses)
+        for size in profile.line_sizes:
             shift = size.bit_length() - 1
-            tracker = self._trackers[size]
-            histogram = self._histograms[size]
-            colds = 0
-            for address in addresses:
-                distance = tracker.access(address >> shift)
-                if distance == COLD_MISS:
-                    colds += 1
-                else:
-                    histogram.add(distance)
-            self._colds[size] += colds
-            self._counts[size] += len(addresses)
-
-    def extend_records(
-        self, records: Iterable[Tuple[int, int, int, int]]
-    ) -> None:
-        """Scan ``(pc, address, size, is_store)`` records with sector split."""
-        records = list(records)
-        self._records += len(records)
-        for line_size in self.line_sizes:
-            shift = line_size.bit_length() - 1
-            tracker = self._trackers[line_size]
-            histogram = self._histograms[line_size]
-            colds = 0
-            count = 0
-            for _pc, address, size, _is_store in records:
-                first = address >> shift
-                last = (address + max(size, 1) - 1) >> shift
-                for line in range(first, last + 1):
-                    distance = tracker.access(line)
-                    count += 1
-                    if distance == COLD_MISS:
-                        colds += 1
-                    else:
-                        histogram.add(distance)
-            self._colds[line_size] += colds
-            self._counts[line_size] += count
+            colds, histogram = distance_histogram(
+                [address >> shift for address in addresses]
+            )
+            profile._histograms[size] = Histogram(histogram)
+            profile._colds[size] = colds
+            profile._counts[size] = len(addresses)
+        return profile
 
     @property
     def accesses(self) -> int:
@@ -181,12 +133,7 @@ class StackDistanceProfile:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form for the content-addressed artifact cache.
-
-        Serialised profiles are frozen observations: the internal LRU
-        trackers are not persisted, so a deserialised profile predicts but
-        does not extend across the save boundary.
-        """
+        """JSON-friendly form for the content-addressed artifact cache."""
         return {
             "line_sizes": list(self.line_sizes),
             "records": self._records,
@@ -243,13 +190,16 @@ def _conflict_probability(distance: int, num_sets: int, assoc: int) -> float:
     return min(1.0, max(0.0, 1.0 - prob_le))
 
 
-def round_robin_interleave(streams: Sequence[Sequence[int]]) -> List[int]:
-    """Merge per-warp address streams in round-robin order.
+def round_robin_interleave(streams: Sequence[Sequence[_T]]) -> List[_T]:
+    """Merge per-warp (or per-core) streams in round-robin order.
 
     The Nugteren model's parallelism emulation: one access per warp per
-    turn, matching how an LRR scheduler interleaves warps.
+    turn, matching how an LRR scheduler interleaves warps.  The analytic
+    backend merges per-core trace records the same way: with every record
+    costing one cycle, the flat replay's ``(clock, core)`` event heap
+    degenerates to exactly this order.
     """
-    out: List[int] = []
+    out: List[_T] = []
     cursors = [0] * len(streams)
     remaining = sum(len(s) for s in streams)
     while remaining:

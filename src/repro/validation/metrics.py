@@ -118,19 +118,19 @@ def working_set_curve(
     The Mattson working-set curve of an address stream — a configuration-
     independent locality signature.  Computed in one stack-distance pass.
     """
-    from repro.core.reuse import COLD_MISS, StackDistanceTracker
+    from repro.core.reuse import distance_histogram
 
     if not addresses:
         return [0.0] * len(capacities)
     shift = line_size.bit_length() - 1
-    tracker = StackDistanceTracker()
-    misses = [0] * len(capacities)
-    for address in addresses:
-        distance = tracker.access(address >> shift)
-        for index, capacity in enumerate(capacities):
-            if distance == COLD_MISS or distance >= capacity:
-                misses[index] += 1
-    return [m / len(addresses) for m in misses]
+    colds, histogram = distance_histogram(
+        [address >> shift for address in addresses]
+    )
+    return [
+        (colds + sum(n for d, n in histogram.items() if d >= capacity))
+        / len(addresses)
+        for capacity in capacities
+    ]
 
 
 def working_set_distance(

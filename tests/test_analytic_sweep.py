@@ -9,10 +9,9 @@ Three contracts from the analytic-mode design:
   within the model's stated tolerance (the documented gap is L2 MSHR
   merge accounting, which inflates the replay's L2 access denominator);
 * **fallback completeness** — every configuration feature the model
-  cannot capture (prefetchers, non-LRU replacement, oversized
-  associativity, inclusive L2) must produce a non-empty reason list and
-  route the config to replay, recorded in the artifact's
-  ``analytic_fallback_reasons`` matrix;
+  cannot capture (prefetchers, non-LRU replacement, inclusive L2) must
+  produce a non-empty reason list and route the config to replay,
+  recorded in the artifact's ``analytic_fallback_reasons`` matrix;
 * **journal resume** — a journaled analytic sweep mixing predictions and
   replay fallbacks resumes bit-identically without recomputation, with
   the fallback matrix restored from the journal.
@@ -29,11 +28,15 @@ from hypothesis import strategies as st
 from repro.analytical.analytic import (
     ANALYTIC_MISS_RATE_TOLERANCE,
     AnalyticCacheModel,
+    _scan_sets,
+    _scan_sets_scalar,
     analytic_fallback_reasons,
     analytic_sweep_report,
 )
 from repro.analysis import verify_analytic_sweep_report
+from repro.core.backend import numpy_available
 from repro.gpu.executor import execute_kernel, flat_drain
+from repro.gpu.memspace import GLOBAL_BASE
 from repro.memsim.config import PAPER_BASELINE, CacheConfig, PrefetcherConfig
 from repro.memsim.simulator import simulate_flat_trace
 from repro.validation import sweeps
@@ -94,6 +97,42 @@ class TestCrossValidation:
         # *rate* carries the documented MSHR-merge denominator gap.
         assert (abs(predicted.l2_miss_rate - truth.l2_miss_rate)
                 <= ANALYTIC_MISS_RATE_TOLERANCE)
+
+    def test_fully_associative_beyond_4096_ways(self):
+        """An 8192-way single-set L1 is predicted exactly, not refused.
+
+        Reuse distances straddle 4096 (hits) and 8192 (misses): the
+        second sweep re-touches 5000 lines at distance 4999, the tail
+        re-touches lines evicted after 8299 distinct intervening lines.
+        """
+        lines = (list(range(5000)) * 2 + list(range(5000, 8300))
+                 + list(range(200)) + list(range(4800, 5000)))
+        trace = [[(0, GLOBAL_BASE + line * 128, 4, line % 3 == 0)
+                  for line in lines]]
+        config = PAPER_BASELINE.with_(
+            num_cores=1,
+            l1=CacheConfig(size=8192 * 128, assoc=8192, line_size=128),
+        )
+        assert config.l1.num_sets == 1
+        model = AnalyticCacheModel.from_flat(trace)
+        assert model.applicability(config) == []
+        predicted = model.predict(config)
+        truth = simulate_flat_trace(trace, config, "python")
+        assert predicted.l1.accesses == truth.l1.accesses
+        assert predicted.l1.misses == truth.l1.misses
+        assert predicted.l1.evictions == truth.l1.evictions
+        assert predicted.l1.writebacks == truth.l1.writebacks
+
+    @pytest.mark.skipif(not numpy_available(), reason="engine path needs numpy")
+    def test_engine_scan_matches_scalar_scan(self, model):
+        """The set-sorted engine scan equals one scalar tracker per set."""
+        per_core, merged = model._lines(64)
+        for num_sets in (1, 16, 1024):
+            for lines, stored in per_core + [(merged, set())]:
+                fast = _scan_sets(lines, num_sets, stored)
+                slow = _scan_sets_scalar(lines, num_sets, stored)
+                for attr in fast.__slots__:
+                    assert getattr(fast, attr) == getattr(slow, attr), attr
 
     def test_trace_identity(self, model, traces):
         """Predictions describe the same stream the replay walks."""

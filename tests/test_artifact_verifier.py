@@ -18,8 +18,10 @@ from repro.analysis.verify import (
     verify_sweep_configs,
 )
 from repro.cli import main
+from repro.core.backend import numpy_available
 from repro.core.miniaturize import miniaturize_profile
 from repro.core.profiler import GmapProfiler
+from repro.gpu.instructions import SYNC_PC
 from repro.io.profile_io import load_profile, save_profile
 from repro.memsim.config import PAPER_BASELINE, CacheConfig
 from repro.validation.harness import build_pipeline
@@ -74,6 +76,26 @@ class TestEdgeCases:
     def test_pi_sequence_references_unknown_pc(self, payload):
         payload["pi_profiles"][0]["sequence"] = [80, 4096]
         assert rules_for(payload) == {"pi-unknown-pc"}
+
+    def test_pi_sequence_barrier_marker_is_clean(self, payload):
+        # The generator replays SYNC_PC (-1) slots; it never has a B entry.
+        payload["pi_profiles"][0]["sequence"] = [80, SYNC_PC, 80]
+        assert rules_for(payload) == set()
+
+    @pytest.mark.parametrize("backend", [
+        "python",
+        pytest.param("numpy", marks=pytest.mark.skipif(
+            not numpy_available(), reason="numpy backend needs numpy")),
+    ])
+    def test_barrier_kernel_pipeline_verifies(self, backend):
+        """pathfinder's barrier-bearing π sequences pass the hot-path check."""
+        pipeline = build_pipeline(
+            suite.make("pathfinder", scale="tiny"), num_cores=4,
+            backend=backend,
+        )
+        assert SYNC_PC in {
+            pc for pi in pipeline.profile.pi_profiles for pc in pi.sequence
+        }
 
     def test_base_misaligned(self, payload):
         payload["instructions"]["80"]["base_address"] = 0x1000_0001

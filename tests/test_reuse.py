@@ -8,14 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backend import numpy_available
 from repro.core.reuse import (
     COLD_MISS,
     StackDistanceTracker,
     _FenwickTree,
+    distance_histogram,
     miss_rate_from_distances,
     naive_stack_distances,
     stack_distances,
+    stack_distances_array,
 )
+
+
+def _tracker(trace):
+    return list(stack_distances(trace))
+
+
+def _array(trace):
+    return stack_distances_array(trace).tolist()
+
+
+#: The two exact engines: the scalar tracker (the numpy-free path) and the
+#: array engine every numpy-present caller uses.
+ENGINES = [
+    pytest.param(_tracker, id="tracker"),
+    pytest.param(_array, id="array", marks=pytest.mark.skipif(
+        not numpy_available(), reason="array engine needs numpy")),
+]
 
 
 class TestFenwickTree:
@@ -117,15 +137,6 @@ class TestStackDistanceTracker:
         assert tracker.unique_elements == 2
         assert tracker.accesses == 3
 
-    def test_matches_naive_on_fixed_trace(self):
-        trace = [0, 1, 2, 0, 3, 1, 1, 2, 4, 0, 5, 3]
-        assert list(stack_distances(trace)) == naive_stack_distances(trace)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=150))
-    def test_matches_naive_oracle(self, trace):
-        assert list(stack_distances(trace)) == naive_stack_distances(trace)
-
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=30), max_size=120))
     def test_distances_bounded_by_unique_count(self, trace):
@@ -141,6 +152,52 @@ class TestStackDistanceTracker:
         for _ in range(20_000):
             tracker.access(rng.randrange(1000))
         assert tracker.accesses == 20_000
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestAgainstOracle:
+    """Both engines against the explicit LRU stack."""
+
+    def test_matches_naive_on_fixed_trace(self, engine):
+        trace = [0, 1, 2, 0, 3, 1, 1, 2, 4, 0, 5, 3]
+        assert engine(trace) == naive_stack_distances(trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=12), max_size=150))
+    def test_matches_naive_oracle(self, engine, trace):
+        assert engine(trace) == naive_stack_distances(trace)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=400), max_size=600))
+    def test_matches_naive_oracle_wide(self, engine, trace):
+        """Many distinct elements: deep stacks, long reuse windows."""
+        assert engine(trace) == naive_stack_distances(trace)
+
+    def test_empty(self, engine):
+        assert engine([]) == []
+
+    def test_all_same(self, engine):
+        assert engine([7] * 50) == [COLD_MISS] + [0] * 49
+
+    def test_all_distinct(self, engine):
+        assert engine(list(range(50))) == [COLD_MISS] * 50
+
+    def test_deep_cyclic_reuse(self, engine):
+        """Reuse distances far beyond any fixed stack depth stay exact."""
+        trace = list(range(5000)) * 2
+        assert engine(trace) == [COLD_MISS] * 5000 + [4999] * 5000
+
+
+class TestDistanceHistogram:
+    def test_colds_and_counts(self):
+        colds, histogram = distance_histogram([0, 1, 0, 1, 1, 2])
+        assert colds == 3
+        assert histogram == {1: 2, 0: 1}
+        # Keys come in order of first occurrence in the distance stream.
+        assert list(histogram) == [1, 0]
+
+    def test_empty(self):
+        assert distance_histogram([]) == (0, {})
 
 
 class TestMissRateFromDistances:
